@@ -8,9 +8,7 @@ values.  Identical inputs produce byte-identical outputs.
 """
 
 import argparse
-import hashlib
 import json
-import os
 import sys as _sys
 
 from . import affine, coxmat, cycshift, element, finord, graph, indefinite, oracle
@@ -141,7 +139,7 @@ def automorphism_json(names, auto):
             if k != v}
 
 
-def run_graph_pipeline(sysm, word, budget=None):
+def run_graph_pipeline(sysm, word):
     """Dispatch on the ambient type; returns a JSON-able report."""
     w = element.reduce(sysm, word)
     tag = ambient_tag(sysm)
@@ -243,35 +241,13 @@ def cmd_cyc(args):
     return EXIT_OK
 
 
-def _cache_path(command, sysm, word):
-    root = os.environ.get("COXCONJ_CACHE_DIR")
-    if not root:
-        return None
-    key = hashlib.sha256(
-        ("%s|%s|%s" % (command, sysm.to_json(), list(word))).encode()
-    ).hexdigest()[:24]
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, "%s-%s.json" % (command, key))
-
-
 def cmd_graph(args):
     sysm, word = load_inputs(args)
-    cache = _cache_path("graph", sysm, word)
-    if cache and os.path.exists(cache):
-        with open(cache) as fh:
-            text = fh.read()
-        report = json.loads(text)
-    else:
-        report, res, g = run_graph_pipeline(sysm, word)
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if cache:
-            with open(cache, "w") as fh:
-                fh.write(text)
+    report, _, g = run_graph_pipeline(sysm, word)
     if args.format == "dot":
-        _emit(args, graph.to_dot(graph.from_json(
-            json.dumps(report["graph"]))))
+        _emit(args, graph.to_dot(g))
     else:
-        _emit(args, text)
+        _emit(args, json.dumps(report, indent=2, sort_keys=True))
     if args.verify:
         if not args.example or args.example not in EXAMPLES:
             print("verify: no expected values for this input",
@@ -294,13 +270,12 @@ def cmd_graph(args):
 
 def cmd_tight(args):
     sysm, word = load_inputs(args)
-    report, res, g = run_graph_pipeline(sysm, word)
+    report, res, _ = run_graph_pipeline(sysm, word)
     if report["pipeline"] == "affine" and res.tsys is not None:
         ambient = res.tsys.abstract
         closed = graph.tight_closure(res.kgraph, None, ambient)
         closed = graph.quotient(closed, res.xi_w)
     elif report["pipeline"] == "indefinite":
-        sub = res.split.subset
         closed = graph.tight_closure(
             res.kgraph, None, sysm,
             is_spherical=lambda K: coxmat.is_spherical(sysm, K))
@@ -363,6 +338,9 @@ def main(argv=None):
         return EXIT_SHAPE
     except CoxConjError as exc:
         print("error: %s" % exc, file=_sys.stderr)
+        return EXIT_PIPELINE
+    except MemoryError:
+        print("error: out of memory", file=_sys.stderr)
         return EXIT_PIPELINE
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=_sys.stderr)

@@ -12,7 +12,6 @@ Conventions
   exist the lexicographically smallest is chosen.
 """
 
-import itertools
 import json
 
 from .errors import NonSpherical, NotAffine, UnsupportedShape
@@ -168,6 +167,15 @@ class DiagramAutomorphism:
 
     def stabilises(self, s):
         return self.apply_set(s) == frozenset(s)
+
+    def invariant_closure(self, s):
+        """The smallest invariant set containing s."""
+        s = frozenset(s)
+        while True:
+            s2 = s | self.apply_set(s)
+            if s2 == s:
+                return s
+            s = s2
 
     def __eq__(self, other):
         return isinstance(other, DiagramAutomorphism) and self._key == other._key
@@ -469,49 +477,6 @@ def opposition(sys, K):
 
 # ---------------------------------------------------------------------------
 # extended affine diagram automorphisms
-
-
-def _full_diagram_automorphisms(sys, comp):
-    """All automorphisms of the induced diagram on comp (small diagrams)."""
-    comp = sorted(comp)
-    n = len(comp)
-    out = []
-    deg = {v: sum(1 for u in comp if u != v and sys.m(u, v) != 2) for v in comp}
-    for perm in itertools.permutations(comp):
-        ok = True
-        for a in range(n):
-            if deg[comp[a]] != deg[perm[a]]:
-                ok = False
-                break
-        if not ok:
-            continue
-        for a in range(n):
-            for b in range(a + 1, n):
-                if sys.m(comp[a], comp[b]) != sys.m(perm[a], perm[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(DiagramAutomorphism(
-                {comp[a]: perm[a] for a in range(n)}))
-    return out
-
-
-def extend_special_permutation(sys, comp, tag, special_perm):
-    """Unique diagram automorphism of comp inducing special_perm.
-
-    special_perm maps generator indices of special vertices to generator
-    indices; kinds of the remaining vertices are forced by the diagram.
-    """
-    matches = []
-    for auto in _full_diagram_automorphisms(sys, comp):
-        if all(auto(k) == v for k, v in special_perm.items()):
-            matches.append(auto)
-    if len(matches) != 1:
-        raise NotAffine("special-vertex permutation extends %d ways"
-                        % len(matches))
-    return matches[0]
 
 
 def omega_group(sys, comp, tag):

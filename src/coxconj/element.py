@@ -238,7 +238,6 @@ class Element:
                        self.R.mat_mul(other.inv_mat, self.inv_mat))
 
     def inverse(self):
-        w = None if self._word is None else tuple(reversed(self._word))
         return Element(self.R, self.inv_mat, self.mat, word=None,
                        length=self._len)
 
@@ -255,10 +254,6 @@ class Element:
         return out
 
     # descents -------------------------------------------------------------
-
-    def right_descents(self):
-        return frozenset(s for s in range(self.sys.rank)
-                         if self.R.col_sign(self.mat, s) < 0)
 
     def left_descents(self):
         return frozenset(s for s in range(self.sys.rank)

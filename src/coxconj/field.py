@@ -29,15 +29,6 @@ def _poly_trim(p):
     return p
 
 
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
 def _poly_divexact(p, q):
     """Exact division of integer polynomials (remainder must vanish)."""
     p = list(p)

@@ -28,12 +28,6 @@ def is_straight(w, k_max=6):
     return True
 
 
-def ensure_full_closure(w):
-    a, K = element.parabolic_closure(w)
-    if K != w.sys.full:
-        raise NotFullClosure("parabolic closure is W_%s" % sorted(K))
-
-
 def msn(w):
     """Largest spherical subset I with w W_I w^-1 = W_I.
 
@@ -159,9 +153,8 @@ def _straight_representative(n_I, I_size):
                              "in the shift class")
 
 
-def core_splitting(w, check_atomic=True):
+def core_splitting(w):
     """Core splitting of a cyclically reduced w with Pc(w) = W."""
-    sys = w.sys
     v, I, a0 = mn(w)
     w_I, n_I = element.normalizer_split(v, I)
     if n_I.is_identity():
@@ -181,8 +174,7 @@ def core_splitting(w, check_atomic=True):
         raise VerificationFailed("core does not normalise W_I")
     if any(w_c.is_left_descent(s) for s in I):
         raise VerificationFailed("core is not minimal in its W_I coset")
-    if check_atomic:
-        _check_atomic(w_c, len(I))
+    _check_atomic(w_c, len(I))
     a = a0 * w_I * a0.inverse()
     core = a0 * w_c * a0.inverse()
     if a * core ** n != w:
@@ -231,17 +223,8 @@ def delta_and_Iw_indefinite(v, I=None):
             raise NotStandard("element is not standard")
     w_I, n_I = element.normalizer_split(v, I)
     delta_w = element.twist_of_normalizer(n_I, I)
-    I_w = _invariant_closure(delta_w, w_I.supp())
+    I_w = delta_w.invariant_closure(w_I.supp())
     return delta_w, I_w
-
-
-def _invariant_closure(delta, s):
-    s = set(s)
-    while True:
-        s2 = s | {delta(i) for i in s}
-        if s2 == s:
-            return frozenset(s)
-        s = s2
 
 
 def centraliser_degree(split):
@@ -253,7 +236,6 @@ def centraliser_degree(split):
     I = split.subset
     a = split.std_a
     m = split.n
-    sys = a.sys
     delta = element.twist_of_normalizer(split.std_core, I)
     # least o with delta^o(a) == a, then the least m' >= 1 congruent to m
     o = 1
@@ -308,7 +290,7 @@ def structural_graph_indefinite(w):
     I = split.subset
     delta_c = element.twist_of_normalizer(split.std_core, I)
     delta_w = delta_c.power(split.n)
-    I_w = _invariant_closure(delta_w, split.std_a.supp())
+    I_w = delta_w.invariant_closure(split.std_a.supp())
     kgraph = finord.kdelta_component(sys, delta_w, I_w, within=I)
     n_w = centraliser_degree(split)
     gen = delta_c.power(n_w)

@@ -5,10 +5,6 @@ from fractions import Fraction
 from .errors import VerificationFailed
 
 
-def vec(*xs):
-    return tuple(Fraction(x) for x in xs)
-
-
 def vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
 

@@ -11,7 +11,6 @@ import itertools
 
 from . import coxmat, cycshift, element, finord
 from .errors import BudgetTooSmall, TooLarge
-from .graph import ConjGraph
 from .linalg import dot, orthogonal_projection
 from .rootdata import coroot
 

@@ -21,7 +21,11 @@ from coxconj.errors import FiniteOrder
 from coxconj.linalg import vscale
 from coxconj.rootdata import finite_root_system
 
-from tests_util import affine_system as make_affine, random_word
+from tests_util import (
+    affine_system as make_affine,
+    assert_affine_cross_checks,
+    random_word,
+)
 
 
 def d7_data():
@@ -123,6 +127,7 @@ def test_affine_pipeline_d7_case2():
     d7, t = d7_data()
     u = reduce(d7, (1, 3, 4, 5, 6))
     res = structural_graph_affine(u * t)
+    assert_affine_cross_checks(res)
     assert res.kgraph.n_vertices() == 4 and res.kgraph.n_edges() == 4
     assert res.graph.n_vertices() == 4
     assert len(res.xi_eta) == 2 and len(res.xi_w) == 1
@@ -152,6 +157,7 @@ def test_affine_pipeline_d7_case1():
     d7, t = d7_data()
     u = reduce(d7, (3, 4, 5, 6))
     res = structural_graph_affine(u * t)
+    assert_affine_cross_checks(res)
     assert res.kgraph.n_vertices() == 4
     assert res.graph.n_vertices() == 2
     assert len(res.xi_w) == 2
@@ -255,6 +261,8 @@ def test_e7_cases():
     assert res3.kgraph.n_vertices() == 8 and res3.graph.n_vertices() == 2
     res4 = structural_graph_affine(reduce(e7, (1, 4, 5, 7)) * x * x)
     assert res4.kgraph.n_vertices() == 8 and res4.graph.n_vertices() == 4
+    for res in (res1, res3, res4):
+        assert_affine_cross_checks(res)
     closed = graph.tight_closure(res4.kgraph, None, res4.tsys.abstract)
     quot = graph.quotient(closed, res4.xi_w)
     assert quot.is_complete() and quot.n_vertices() == 4
@@ -275,6 +283,7 @@ def a_family_w(n):
 def test_a5_family():
     sysA, w = a_family_w(1)
     res = structural_graph_affine(w)
+    assert_affine_cross_checks(res)
     assert res.kgraph.n_vertices() == 9
     assert res.graph.n_vertices() == 3 and res.graph.diameter() == 1
     assert len(res.xi_eta) == 3 and len(res.xi_w) == 3

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -100,13 +99,15 @@ def test_unknown_example(capsys):
     assert code == cli.EXIT_SHAPE
 
 
-def test_cache_roundtrip(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("COXCONJ_CACHE_DIR", str(tmp_path / "cache"))
-    code1, out1, _ = run(capsys, "--example", "ind-rank5", "graph")
-    code2, out2, _ = run(capsys, "--example", "ind-rank5", "graph")
-    assert code1 == code2 == 0
-    assert out1 == out2
-    assert os.listdir(str(tmp_path / "cache"))
+def test_memory_error_is_a_pipeline_error(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_graph", exhausted)
+    code, out, err = run(capsys, "--example", "d7-1", "graph")
+    assert code == cli.EXIT_PIPELINE
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_determinism(capsys):
