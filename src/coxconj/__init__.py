@@ -20,7 +20,7 @@ Entry points:
 """
 
 from . import coxmat, cycshift, element, finord, graph, indefinite, oracle
-from . import affine, cli
+from . import affine
 from .coxmat import CoxeterSystem, DiagramAutomorphism, TypeTag
 
 __all__ = [

@@ -13,7 +13,7 @@ of W).
 from fractions import Fraction
 
 from . import coxmat, cycshift, element, finord, graph
-from .coxmat import CoxeterSystem, DiagramAutomorphism
+from .coxmat import CoxeterSystem, DiagramAutomorphism, generate_group
 from .errors import (
     FiniteOrder,
     InternalMismatch,
@@ -32,7 +32,7 @@ from .linalg import (
     vscale,
     vsub,
 )
-from .rootdata import coroot, finite_root_system
+from .rootdata import coroot, embedded_root_system, finite_root_system
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -309,7 +309,7 @@ class TransversalSystem:
         for comp in comps:
             simple = tuple(rs.simple[asys.gen_to_kac[g] - 1]
                            for g in sorted(comp))
-            sub = _embedded(simple)
+            sub = embedded_root_system(simple)
             theta_c = sub.highest_root()
             self.theta_I.append(theta_c)
             word = affine_reflection_word(asys, vscale(-1, theta_c), 1)
@@ -386,25 +386,6 @@ def _product_order(fmap, dim, cap=200):
     return 0  # infinity
 
 
-_EMBED_LOCAL = {}
-
-
-def _embedded(simple):
-    if simple not in _EMBED_LOCAL:
-        from .rootdata import FiniteRootSystem
-        obj = FiniteRootSystem.__new__(FiniteRootSystem)
-        obj.letter = None
-        obj.rank = len(simple)
-        obj.simple = tuple(simple)
-        obj.dim = len(simple[0])
-        obj._positive = None
-        obj._theta = None
-        obj._marks = None
-        obj._coweights = None
-        _EMBED_LOCAL[simple] = obj
-    return _EMBED_LOCAL[simple]
-
-
 def transversal_system(sys_or_asys, I_eta):
     asys = (sys_or_asys if isinstance(sys_or_asys, AffineSystem)
             else affine_system(sys_or_asys))
@@ -447,7 +428,7 @@ def is_cyclically_reduced_sufficient(w):
     A, b = asys.element_map(w)
     mu, _ = asys.translation_vector(w)
     u_map = (A, vsub(b, mu))
-    fixed = affine_fixed_space(A, vsub(b, mu), asys.dim)
+    fixed = affine_fixed_space([u_map], asys.dim)
     if fixed is None:
         return False
     try:
@@ -600,7 +581,7 @@ def standard_splitting(w):
     mu, _k = asys.translation_vector(w)
     if is_zero_vec(mu):
         raise FiniteOrder("standard splitting needs an infinite order input")
-    fixed = affine_fixed_space(A, vsub(b, mu), asys.dim)
+    fixed = affine_fixed_space([(A, vsub(b, mu))], asys.dim)
     if fixed is None:
         raise VerificationFailed("elliptic part has empty fixed space")
     p0, dirs = fixed
@@ -848,22 +829,6 @@ def _extend_identity(part, n):
     return DiagramAutomorphism(mapping)
 
 
-def generate_group(gens, n):
-    """All elements generated by the automorphisms (small abelian groups)."""
-    group = {DiagramAutomorphism.identity(frozenset(range(n)))}
-    frontier = list(gens)
-    while frontier:
-        g = frontier.pop()
-        if g in group:
-            continue
-        group.add(g)
-        for h in list(group):
-            for p in (g.compose(h), h.compose(g)):
-                if p not in group:
-                    frontier.append(p)
-    return sorted(group, key=lambda a: a._key)
-
-
 # ---------------------------------------------------------------------------
 # the full pipeline
 
@@ -936,7 +901,8 @@ def structural_graph_affine(w):
     kgraph = finord.kdelta_component(tsys.abstract,
                                      _extend_identity(delta_w, tsys.n_local),
                                      I_w)
-    xi_eta_elements = generate_group(xi_eta(asys, I_eta), tsys.n_local)
+    xi_eta_elements = generate_group(xi_eta(asys, I_eta),
+                                     range(tsys.n_local))
     vertex_set = set(kgraph.vertices)
     xi_w = [s for s in xi_eta_elements if s.apply_set(I_w) in vertex_set]
     quot_w = graph.quotient(kgraph, xi_w)
@@ -955,16 +921,8 @@ def _affine_representatives(tsys, kgraph, quot, v):
     to the minimal stratum of the shift class.
     """
     paths = {kgraph.base: []}
-    frontier = [kgraph.base]
-    while frontier:
-        frontier.sort(key=lambda i: graph.subset_key(kgraph.vertices[i]))
-        nxt = []
-        for i in frontier:
-            for j in kgraph.neighbours(i):
-                if j not in paths:
-                    paths[j] = paths[i] + [kgraph.edge_between(i, j)[0]]
-                    nxt.append(j)
-        frontier = nxt
+    for i, j, K in kgraph.bfs_tree():
+        paths[j] = paths[i] + [K]
     reps = {}
     elts = {}
     for qi, qv in enumerate(quot.vertices):
@@ -1006,7 +964,10 @@ def k_conj_certificate(v, L, tsys, budget=20000, full_check_cap=16):
         raise InternalMismatch("reflection subgroup has order %d, expected "
                                "%d" % (len(P), order_target))
     tried = 0
-    for n in _stabilizing_stream(sys, K):
+    for n in element.length_ball(sys, 24):
+        # n Pi_K = Pi_K makes n minimal in both n W_K and W_K n
+        if not element.maps_simples_onto(n, K, K):
+            continue
         seen_a = set()
         for p in sorted(P, key=lambda e: e.sort_key()):
             a = element.min_coset_rep(p * a0 * n, K, "right")
@@ -1048,9 +1009,10 @@ def _reflection_subgroup(sys, gens, cap):
 
 def _standardize_reflection_subgroup(asys, gens):
     """(a0, K) with <gens> = a0 W_K a0^-1, a0 minimal in a0 W_K."""
-    maps = [asys.element_map(g) for g in gens]
-    dim = asys.dim
-    point, dirs = _common_fixed_space(maps, dim)
+    fixed = affine_fixed_space([asys.element_map(g) for g in gens], asys.dim)
+    if fixed is None:
+        raise InternalMismatch("reflection subgroup has no fixed point")
+    point, dirs = fixed
     walls = _walls_containing(asys, point, dirs)
     p = _generic_point(asys, point, dirs, walls)
     letters, q = asys.rs.affine_walk(p)
@@ -1063,82 +1025,3 @@ def _standardize_reflection_subgroup(asys, gens):
         if not inside.supp() <= K:
             raise InternalMismatch("walk did not standardise the subgroup")
     return a0, K
-
-
-def _common_fixed_space(maps, dim):
-    rows = []
-    rhs = []
-    for (A, b) in maps:
-        for i in range(dim):
-            row = [A[i][j] - (F1 if i == j else F0) for j in range(dim)]
-            rows.append(row)
-            rhs.append(-b[i])
-    # solve the joint system by elimination
-    aug = [row + [r] for row, r in zip(rows, rhs)]
-    m = len(aug)
-    piv = []
-    r = 0
-    for c in range(dim):
-        p = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, m):
-        if aug[i][dim] != 0:
-            raise InternalMismatch("reflection subgroup has no fixed point")
-    point = [F0] * dim
-    for i, c in enumerate(piv):
-        point[c] = aug[i][dim]
-    free = [c for c in range(dim) if c not in piv]
-    dirs = []
-    for fc in free:
-        d = [F0] * dim
-        d[fc] = F1
-        for i, c in enumerate(piv):
-            d[c] = -aug[i][fc]
-        dirs.append(tuple(d))
-    return tuple(point), tuple(dirs)
-
-
-def _stabilizing_stream(sys, K, length_cap=24):
-    """Pi_K-stabilising elements by increasing length (a lazy BFS ball).
-
-    Elements with n Pi_K = Pi_K are automatically of minimal length in
-    both n W_K and W_K n.
-    """
-    R = element.realization(sys)
-
-    def stabilises(x):
-        for s in K:
-            img = x.apply(R.basis_vector(s))
-            supp = R.vec_supp(img)
-            if len(supp) != 1 or not supp <= K or R.vec_sign(img) < 0:
-                return False
-        return True
-
-    ident = element.identity(sys)
-    yield ident
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in range(sys.rank):
-                y = x.right_mul_gen(s)
-                if (y.length() > x.length() and y.length() <= length_cap
-                        and y not in seen):
-                    seen.add(y)
-                    nxt.append(y)
-        nxt.sort(key=lambda e: e.sort_key())
-        for x in nxt:
-            if stabilises(x):
-                yield x
-        frontier = nxt

@@ -156,7 +156,7 @@ def run_graph_pipeline(sysm, word):
         return {
             "pipeline": "finite-order",
             "ambient": tag.symbol,
-            "graph": json.loads(graph.to_json(g)),
+            "graph": graph.to_dict(g),
         }, res, g
     if tag.kind == "affine":
         res = affine.structural_graph_affine(w)
@@ -171,8 +171,8 @@ def run_graph_pipeline(sysm, word):
             "I_w": sorted(names[i] for i in res.I_w),
             "xi_eta_order": len(res.xi_eta),
             "xi_w_order": len(res.xi_w),
-            "kgraph": json.loads(graph.to_json(res.kgraph)),
-            "graph": json.loads(graph.to_json(res.graph)),
+            "kgraph": graph.to_dict(res.kgraph),
+            "graph": graph.to_dict(res.graph),
         }, res, res.graph
     if tag.kind == "indefinite":
         res = indefinite.structural_graph_indefinite(w)
@@ -186,8 +186,8 @@ def run_graph_pipeline(sysm, word):
             "delta_w": automorphism_json(names, res.delta_w),
             "I_w": sorted(names[i] for i in res.I_w),
             "xi_w_order": len(res.xi_w),
-            "kgraph": json.loads(graph.to_json(res.kgraph)),
-            "graph": json.loads(graph.to_json(res.graph)),
+            "kgraph": graph.to_dict(res.kgraph),
+            "graph": graph.to_dict(res.graph),
         }, res, res.graph
     raise UnsupportedShape("finite ambient with infinite-order input")
 
@@ -272,16 +272,13 @@ def cmd_tight(args):
     sysm, word = load_inputs(args)
     report, res, _ = run_graph_pipeline(sysm, word)
     if report["pipeline"] == "affine" and res.tsys is not None:
-        ambient = res.tsys.abstract
-        closed = graph.tight_closure(res.kgraph, None, ambient)
+        closed = graph.tight_closure(res.kgraph, res.tsys.abstract)
         closed = graph.quotient(closed, res.xi_w)
     elif report["pipeline"] == "indefinite":
-        closed = graph.tight_closure(
-            res.kgraph, None, sysm,
-            is_spherical=lambda K: coxmat.is_spherical(sysm, K))
+        closed = graph.tight_closure(res.kgraph, sysm)
         closed = graph.quotient(closed, res.xi_w)
     else:
-        closed = graph.tight_closure(res.graph, None, sysm)
+        closed = graph.tight_closure(res.graph, sysm)
     _emit(args, graph.export(closed, args.format or "json"))
     return EXIT_OK
 

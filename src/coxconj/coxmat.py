@@ -54,9 +54,6 @@ class CoxeterSystem:
                 j for j in range(self.rank) if self.adjacent(i, j))
         return self._cache[key]
 
-    def subset(self, indices):
-        return frozenset(indices)
-
     def name_of(self, i):
         return self.generator_names[i]
 
@@ -71,13 +68,6 @@ class CoxeterSystem:
         if "rank" in data and data["rank"] != len(matrix):
             raise UnsupportedShape("rank disagrees with matrix size")
         return cls(matrix, data.get("names"))
-
-    def to_json(self):
-        return json.dumps({
-            "rank": self.rank,
-            "matrix": [list(r) for r in self.matrix],
-            "names": list(self.generator_names),
-        })
 
 
 class TypeTag:
@@ -148,15 +138,6 @@ class DiagramAutomorphism:
 
     def is_identity(self):
         return all(k == v for k, v in self.mapping.items())
-
-    def order(self):
-        n, p = 1, self
-        while not p.is_identity():
-            p = p.compose(self)
-            n += 1
-            if n > 10000:
-                raise UnsupportedShape("runaway permutation order")
-        return n
 
     def power(self, k):
         out = DiagramAutomorphism.identity(self.domain)
@@ -270,9 +251,6 @@ def _finite_reference_matrix(family, rank, label=None):
     else:
         raise ValueError(family)
     return tuple(tuple(r) for r in m)
-
-
-_OPPOSITION = {}
 
 
 def _finite_reference_op(family, rank, label=None):
@@ -475,6 +453,23 @@ def opposition(sys, K):
     return out
 
 
+def generate_group(gens, domain):
+    """The group of permutations of domain generated by the automorphisms
+    gens (a small group), sorted by mapping."""
+    group = {DiagramAutomorphism.identity(domain)}
+    frontier = list(gens)
+    while frontier:
+        g = frontier.pop()
+        if g in group:
+            continue
+        group.add(g)
+        for h in list(group):
+            for p in (g.compose(h), h.compose(g)):
+                if p not in group:
+                    frontier.append(p)
+    return sorted(group, key=lambda a: a._key)
+
+
 # ---------------------------------------------------------------------------
 # extended affine diagram automorphisms
 
@@ -494,30 +489,17 @@ def omega_group(sys, comp, tag):
     corr = tag.correspondence
     if tag.family == "A" and tag.rank == 1:
         a, b = corr[0], corr[1]
-        out = [DiagramAutomorphism.identity(comp),
-               DiagramAutomorphism({a: b, b: a})]
+        gens = [DiagramAutomorphism({a: b, b: a})]
     else:
         rs = finite_root_system(tag.family, tag.rank)
-        out = [DiagramAutomorphism.identity(comp)]
+        gens = []
         for j in tag.special:
             if j == 0:
                 continue
             perm = rs.translation_perm(rs.fundamental_coweights()[j - 1])
-            out.append(DiagramAutomorphism(
+            gens.append(DiagramAutomorphism(
                 {corr[k]: corr[v] for k, v in perm.items()}))
-    # close under composition (the group is abelian and tiny)
-    group = {DiagramAutomorphism.identity(comp)}
-    frontier = list(out)
-    while frontier:
-        g = frontier.pop()
-        if g in group:
-            continue
-        group.add(g)
-        for h in list(group):
-            for prod in (g.compose(h), h.compose(g)):
-                if prod not in group:
-                    frontier.append(prod)
-    group = sorted(group, key=lambda a: a._key)
+    group = generate_group(gens, comp)
     for g in group:
         check_diagram_automorphism(sys, g)
     sys._cache[key] = group

@@ -511,6 +511,17 @@ def longest_element(sys, K):
     return w
 
 
+def length_ball(sys, length_cap):
+    """The elements of length at most length_cap, lazily, ordered by
+    (length, ShortLex): a breadth-first ball one length at a time."""
+    level = [identity(sys)]
+    while level:
+        yield from level
+        nxt = {y for x in level for y in map(x.right_mul_gen, range(sys.rank))
+               if x.length() < y.length() <= length_cap}
+        level = sorted(nxt, key=Element.sort_key)
+
+
 def min_coset_rep(w, K, side="right", J=None):
     """Minimal representative of wW_K, W_Kw, or W_J w W_K."""
     K = frozenset(K)
@@ -551,6 +562,17 @@ def normalizes(w, K):
     return True
 
 
+def maps_simples_onto(x, I, J):
+    """True iff x maps every simple root of I to a simple root of J."""
+    R = x.R
+    for s in I:
+        img = x.apply(R.basis_vector(s))
+        supp = R.vec_supp(img)
+        if len(supp) != 1 or not supp <= J or R.vec_sign(img) < 0:
+            return False
+    return True
+
+
 def normalizer_split(w, I):
     """Split w = w_I * n_I with w_I in W_I and n_I of minimal length.
 
@@ -570,15 +592,11 @@ def normalizer_split(w, I):
                 break
         else:
             break
-    R = w.R
-    w_I = R.from_word(tuple(pre))
+    w_I = w.R.from_word(tuple(pre))
     if w_I.length() + n.length() != w.length():
         raise VerificationFailed("normalizer split is not length-additive")
-    for s in I:
-        img = n.apply(R.basis_vector(s))
-        supp = R.vec_supp(img)
-        if len(supp) != 1 or not supp <= I or R.vec_sign(img) <= 0:
-            raise VerificationFailed("n_I does not permute the simple roots")
+    if not maps_simples_onto(n, I, I):
+        raise VerificationFailed("n_I does not permute the simple roots")
     return w_I, n
 
 

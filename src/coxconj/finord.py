@@ -19,7 +19,7 @@ from .errors import (
 from .graph import ConjGraph, subset_key
 
 
-def _delta_orbits(sys, delta, pool):
+def _delta_orbits(delta, pool):
     orbits = []
     remaining = set(pool)
     while remaining:
@@ -41,7 +41,7 @@ def invariant_spherical_supersets(sys, delta, I, within=None):
     if key in sys._cache:
         return sys._cache[key]
     I = frozenset(I)
-    orbits = _delta_orbits(sys, delta, within - I)
+    orbits = _delta_orbits(delta, within - I)
     out = []
     for r in range(len(orbits) + 1):
         for chosen in itertools.combinations(orbits, r):
@@ -106,12 +106,9 @@ def deodhar_path(sys, delta, J, K, w):
         raise PreconditionViolated("w is not delta-invariant")
     if element.min_coset_rep(w, K, "double", J=J) != w:
         raise PreconditionViolated("w is not minimal in its double coset")
+    if not element.maps_simples_onto(w, J, K):
+        raise PreconditionViolated("w Pi_J != Pi_K")
     R = w.R
-    for s in J:
-        img = w.apply(R.basis_vector(s))
-        supp = R.vec_supp(img)
-        if len(supp) != 1 or not supp <= K or R.vec_sign(img) < 0:
-            raise PreconditionViolated("w Pi_J != Pi_K")
     steps = []
     cur = w
     Jc = J
@@ -126,7 +123,6 @@ def deodhar_path(sys, delta, J, K, w):
         if not coxmat.is_spherical(sys, KT):
             raise PreconditionViolated("encountered a non-spherical step")
         nu = element.longest_element(sys, KT) * element.longest_element(sys, Jc)
-        Jn = frozenset()
         mapping = {}
         for s in Jc:
             img = nu.apply(R.basis_vector(s))
@@ -213,29 +209,15 @@ def finite_structural_graph(w):
     if element.order(w) is None:
         raise InfiniteOrder("element has infinite order")
     g = kdelta_component(sys, tw.twist, supp)
-    reps = {g.vertex_index(supp): {"word": list(tw.word)}}
-    rep_elt = {g.vertex_index(supp): tw}
-    frontier = [g.vertex_index(supp)]
-    seen = {g.vertex_index(supp)}
-    while frontier:
-        frontier.sort(key=lambda i: subset_key(g.vertices[i]))
-        nxt = []
-        for i in frontier:
-            for j in g.neighbours(i):
-                if j in seen:
-                    continue
-                labels = g.edge_between(i, j)
-                K = labels[0]
-                out = cycshift.k_conjugate(rep_elt[i], K)
-                if element.as_twisted(out).supp() != g.vertices[j]:
-                    raise PreconditionViolated("replayed representative has "
-                                               "the wrong support")
-                rep_elt[j] = out
-                reps[j] = {"word": list(out.word),
-                           "conjugated_by": sorted(K)}
-                seen.add(j)
-                nxt.append(j)
-        frontier = nxt
+    reps = {g.base: {"word": list(tw.word)}}
+    rep_elt = {g.base: tw}
+    for i, j, K in g.bfs_tree():
+        out = cycshift.k_conjugate(rep_elt[i], K)
+        if element.as_twisted(out).supp() != g.vertices[j]:
+            raise PreconditionViolated("replayed representative has the "
+                                       "wrong support")
+        rep_elt[j] = out
+        reps[j] = {"word": list(out.word), "conjugated_by": sorted(K)}
     g.representatives = reps
     return FiniteGraphResult(graph=g, delta=tw.twist, support=supp,
                              representatives=rep_elt)
@@ -250,16 +232,6 @@ class FiniteGraphResult:
 
     def __repr__(self):
         return "FiniteGraphResult(%r)" % (self.graph,)
-
-
-def _maps_simples_onto(x, Iu, Iv):
-    R = x.R
-    for s in Iu:
-        img = x.apply(R.basis_vector(s))
-        supp = R.vec_supp(img)
-        if len(supp) != 1 or not supp <= Iv or R.vec_sign(img) < 0:
-            return False
-    return True
 
 
 def finite_order_conjugate(u, v, length_cap=None):
@@ -284,25 +256,11 @@ def finite_order_conjugate(u, v, length_cap=None):
     else:
         if length_cap is None:
             length_cap = 4 * (len(Iu) + 2)
-        candidates = []
-        seen = {element.identity(sys)}
-        frontier = [element.identity(sys)]
-        while frontier:
-            candidates.extend(frontier)
-            nxt = []
-            for x in frontier:
-                for s in range(sys.rank):
-                    y = x.right_mul_gen(s)
-                    if (y.length() > x.length() and y.length() <= length_cap
-                            and y not in seen):
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        candidates.sort(key=lambda e: e.sort_key())
+        candidates = element.length_ball(sys, length_cap)
     for x in candidates:
         if element.permute_element(delta, x) != x:
             continue
-        if not _maps_simples_onto(x, Iu, Iv):
+        if not element.maps_simples_onto(x, Iu, Iv):
             continue
         moved = element.conjugate(tv, x)
         if element.as_twisted(moved).supp() == Iu:

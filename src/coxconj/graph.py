@@ -64,16 +64,31 @@ class ConjGraph:
     def n_edges(self):
         return len(self.edges)
 
-    def is_connected(self):
+    def bfs_tree(self):
+        """Edges (parent, child, K) of the BFS tree from the base vertex.
+
+        Each frontier is visited in vertex order and each vertex's
+        neighbours in ascending order; K is the distinguished label of the
+        tree edge.  Edges come in discovery order, so every parent appears
+        before its children.
+        """
+        tree = []
         seen = {self.base}
         frontier = [self.base]
         while frontier:
-            v = frontier.pop()
-            for u in self.neighbours(v):
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        return len(seen) == len(self.vertices)
+            nxt = []
+            for i in sorted(frontier):
+                for j in self.neighbours(i):
+                    if j not in seen:
+                        seen.add(j)
+                        nxt.append(j)
+                        labels = self.edge_between(i, j) or (frozenset(),)
+                        tree.append((i, j, labels[0]))
+            frontier = nxt
+        return tree
+
+    def is_connected(self):
+        return len(self.bfs_tree()) == len(self.vertices) - 1
 
     def diameter(self):
         best = 0
@@ -158,7 +173,7 @@ def quotient(g, gens):
     return out
 
 
-def tight_closure(g, delta, ambient, is_spherical=None):
+def tight_closure(g, ambient, is_spherical=None):
     """Add an edge for every spherical path of g.
 
     A path I_0 -K_1-> ... -K_k-> I_k is spherical when the union of its
@@ -207,7 +222,8 @@ def tight_closure(g, delta, ambient, is_spherical=None):
 # serialization
 
 
-def to_json(g):
+def to_dict(g):
+    """The JSON-able form of g that to_json serialises."""
     data = {
         "names": list(g.names),
         "vertices": [],
@@ -226,7 +242,11 @@ def to_json(g):
             "label": sorted(labels[0]) if labels else [],
             "labels": [sorted(l) for l in labels],
         })
-    return json.dumps(data, indent=2, sort_keys=True)
+    return data
+
+
+def to_json(g):
+    return json.dumps(to_dict(g), indent=2, sort_keys=True)
 
 
 def from_json(text):

@@ -8,7 +8,6 @@ K_delta component of the transversal support.
 """
 
 from . import coxmat, cycshift, element, finord, graph
-from .coxmat import DiagramAutomorphism
 from .errors import (
     NotCyclicallyReduced,
     NotFullClosure,
@@ -294,7 +293,7 @@ def structural_graph_indefinite(w):
     kgraph = finord.kdelta_component(sys, delta_w, I_w, within=I)
     n_w = centraliser_degree(split)
     gen = delta_c.power(n_w)
-    xi_w = _cyclic_group(gen)
+    xi_w = coxmat.generate_group([gen], gen.domain)
     if not all(x.compose(delta_w) == delta_w.compose(x) for x in xi_w):
         raise VerificationFailed("Xi_w does not commute with delta_w")
     quot = graph.quotient(kgraph, [gen])
@@ -309,38 +308,13 @@ def structural_graph_indefinite(w):
         standard=v, conjugator=w.R.from_word(conj0) * split.standardizer)
 
 
-def _cyclic_group(gen):
-    out = [DiagramAutomorphism.identity(gen.domain)]
-    cur = gen
-    while not cur.is_identity():
-        out.append(cur)
-        cur = cur.compose(gen)
-    return out
-
-
 def _replay_representatives(kgraph, v):
     """One element per K_delta vertex, by K-conjugation along a BFS tree."""
-    base_idx = kgraph.base
-    reps = {kgraph.vertices[base_idx]: {"word": list(v.word), "path": []}}
-    elts = {base_idx: v}
-    seen = {base_idx}
-    frontier = [base_idx]
-    while frontier:
-        frontier.sort(key=lambda i: graph.subset_key(kgraph.vertices[i]))
-        nxt = []
-        for i in frontier:
-            for j in kgraph.neighbours(i):
-                if j in seen:
-                    continue
-                K = kgraph.edge_between(i, j)[0]
-                out = cycshift.k_conjugate(elts[i], K)
-                elts[j] = out
-                prev = reps[kgraph.vertices[i]]
-                reps[kgraph.vertices[j]] = {
-                    "word": list(out.word),
-                    "path": prev["path"] + [sorted(K)],
-                }
-                seen.add(j)
-                nxt.append(j)
-        frontier = nxt
+    elts = {kgraph.base: v}
+    paths = {kgraph.base: []}
+    for i, j, K in kgraph.bfs_tree():
+        elts[j] = cycshift.k_conjugate(elts[i], K)
+        paths[j] = paths[i] + [sorted(K)]
+    reps = {kgraph.vertices[i]: {"word": list(e.word), "path": paths[i]}
+            for i, e in elts.items()}
     return reps, {kgraph.vertices[i]: e for i, e in elts.items()}

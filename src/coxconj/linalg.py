@@ -25,42 +25,49 @@ def is_zero_vec(a):
     return all(x == 0 for x in a)
 
 
-def solve(columns, target):
-    """Solve sum_j c_j * columns[j] == target exactly; None if inconsistent.
+def _eliminate(rows, ncols):
+    """Gauss-Jordan elimination of augmented rows, coefficients in the first
+    ncols entries and the right-hand side last.
 
-    Returns the coefficient tuple for the unique solution on the span (the
-    columns are assumed linearly independent).
+    Returns (pivot columns, particular solution or None when the system is
+    inconsistent, reduced rows); row i of the reduced rows carries the
+    pivot of the i-th pivot column.
     """
-    n = len(columns)
-    if n == 0:
-        return () if is_zero_vec(target) else None
-    m = len(target)
-    rows = [[Fraction(columns[j][i]) for j in range(n)] + [Fraction(target[i])]
-            for i in range(m)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            raise VerificationFailed("dependent columns in solve()")
-        rows[r], rows[piv] = rows[piv], rows[r]
+    rows = [[Fraction(x) for x in row] for row in rows]
+    piv = []
+    for c in range(ncols):
+        r = len(piv)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
         inv = 1 / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
+        for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        sol[c] = rows[i][n]
-    return tuple(sol)
+        piv.append(c)
+    if any(row[ncols] != 0 for row in rows[len(piv):]):
+        return piv, None, rows
+    point = [Fraction(0)] * ncols
+    for i, c in enumerate(piv):
+        point[c] = rows[i][ncols]
+    return piv, tuple(point), rows
+
+
+def solve(columns, target):
+    """Solve sum_j c_j * columns[j] == target exactly; None if inconsistent.
+
+    Returns the coefficient tuple of the unique solution; raises
+    VerificationFailed when the columns are linearly dependent.
+    """
+    n = len(columns)
+    piv, sol, _ = _eliminate(
+        [[col[i] for col in columns] + [t] for i, t in enumerate(target)], n)
+    if len(piv) < n:
+        raise VerificationFailed("dependent columns in solve()")
+    return sol
 
 
 def gram_solve(basis, pairings):
@@ -82,41 +89,24 @@ def orthogonal_projection(basis, v):
     return out
 
 
-def affine_fixed_space(A, b, dim):
-    """Solve A x + b == x; returns (point, direction basis) or None.
+def affine_fixed_space(maps, dim):
+    """Common fixed space of the affine maps x -> A x + b in maps.
 
-    A is a tuple of row tuples acting on column vectors, b a vector.
+    Each A is a tuple of row tuples acting on column vectors.  Returns
+    (point, direction basis), or None when the maps fix no common point.
     """
     rows = [[A[i][j] - (1 if i == j else 0) for j in range(dim)] + [-b[i]]
-            for i in range(dim)]
-    rows = [[Fraction(x) for x in row] for row in rows]
-    piv = []
-    r = 0
-    for c in range(dim):
-        p = next((i for i in range(r, dim) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(dim):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, dim):
-        if rows[i][dim] != 0:
-            return None
-    point = [Fraction(0)] * dim
-    for i, c in enumerate(piv):
-        point[c] = rows[i][dim]
-    free = [c for c in range(dim) if c not in piv]
+            for A, b in maps for i in range(dim)]
+    piv, point, rows = _eliminate(rows, dim)
+    if point is None:
+        return None
     dirs = []
-    for fc in free:
+    for fc in range(dim):
+        if fc in piv:
+            continue
         d = [Fraction(0)] * dim
         d[fc] = Fraction(1)
         for i, c in enumerate(piv):
             d[c] = -rows[i][fc]
         dirs.append(tuple(d))
-    return tuple(point), tuple(dirs)
+    return point, tuple(dirs)

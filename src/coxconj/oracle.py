@@ -1,10 +1,11 @@
 """Independent brute-force reconstructions used to validate the pipelines.
 
-Nothing here shares code paths with the production pipelines beyond the
-element arithmetic: the structural graph is rebuilt from first principles
-(bounded conjugate enumeration, shift-class partition, exhaustive edge
-search), Xi_eta is recomputed lattice-theoretically, and finite groups are
-enumerated outright.
+The oracles share with the production pipelines only the element
+arithmetic, the root systems of ``rootdata`` (embedded subsystems
+included) and the rational linear algebra of ``linalg``: the structural
+graph is rebuilt from first principles (bounded conjugate enumeration,
+shift-class partition, exhaustive edge search), Xi_eta is recomputed
+lattice-theoretically, and finite groups are enumerated outright.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import itertools
 from . import coxmat, cycshift, element, finord
 from .errors import BudgetTooSmall, TooLarge
 from .linalg import dot, orthogonal_projection
-from .rootdata import coroot
+from .rootdata import coroot, embedded_root_system
 
 
 def default_budget(sys):
@@ -306,7 +307,7 @@ def transversal_components(rs, I_bar):
 def _add_classes(rs, comp_data, g, h):
     out = []
     for (comp, simple), a, b in zip(comp_data, g, h):
-        sub = embedded_system(simple)
+        sub = embedded_root_system(simple)
         verts = sub.alcove_vertices()
         lam = tuple(x + y for x, y in zip(verts[a], verts[b]))
         out.append(sub.coweight_class_vertex(lam))
@@ -317,26 +318,6 @@ def project_translation_class(rs, comp_data, lam):
     out = []
     for (comp, simple) in comp_data:
         mu = orthogonal_projection(list(simple), lam)
-        sub = embedded_system(simple)
+        sub = embedded_root_system(simple)
         out.append(sub.coweight_class_vertex(mu))
     return tuple(out)
-
-
-_EMBED_CACHE = {}
-
-
-def embedded_system(simple):
-    """FiniteRootSystem-alike for simple roots embedded in a larger space."""
-    if simple not in _EMBED_CACHE:
-        from .rootdata import FiniteRootSystem
-        obj = FiniteRootSystem.__new__(FiniteRootSystem)
-        obj.letter = None
-        obj.rank = len(simple)
-        obj.simple = tuple(simple)
-        obj.dim = len(simple[0])
-        obj._positive = None
-        obj._theta = None
-        obj._marks = None
-        obj._coweights = None
-        _EMBED_CACHE[simple] = obj
-    return _EMBED_CACHE[simple]

@@ -7,10 +7,11 @@ automorphisms of the extended diagram) is derived from these tables, so the
 numbering conventions are fixed in exactly one place.
 """
 
+import functools
 from fractions import Fraction
 
 from .errors import NotAffine, VerificationFailed
-from .linalg import dot, gram_solve, vadd, vscale, vsub
+from .linalg import dot, gram_solve, solve, vadd, vscale, vsub
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -59,12 +60,12 @@ def coroot(alpha):
 
 
 class FiniteRootSystem:
-    """An irreducible crystallographic root system with exact coordinates."""
+    """An irreducible crystallographic root system with exact coordinates,
+    given by its simple roots."""
 
-    def __init__(self, letter, rank):
-        self.letter = letter
-        self.rank = rank
-        self.simple = _simple_roots(letter, rank)
+    def __init__(self, simple):
+        self.simple = tuple(simple)
+        self.rank = len(self.simple)
         self.dim = len(self.simple[0])
         self._positive = None
         self._theta = None
@@ -99,7 +100,6 @@ class FiniteRootSystem:
 
     def root_coords(self, beta):
         """Coefficients of beta in the simple-root basis (or None)."""
-        from .linalg import solve
         return solve(self.simple, beta)
 
     def root_height(self, beta):
@@ -220,7 +220,6 @@ class FiniteRootSystem:
         Returns j such that lam is congruent to the vertex x_j (a special
         vertex, x_0 = 0) modulo the coroot lattice.
         """
-        from .linalg import solve
         coroots = tuple(coroot(a) for a in self.simple)
         verts = self.alcove_vertices()
         for j in self.special_nodes():
@@ -230,14 +229,17 @@ class FiniteRootSystem:
         raise VerificationFailed("coweight falls in no special class")
 
 
-_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def finite_root_system(letter, rank):
-    key = (letter, rank)
-    if key not in _CACHE:
-        _CACHE[key] = FiniteRootSystem(letter, rank)
-    return _CACHE[key]
+    """The root system of type letter_rank in the Bourbaki realisation."""
+    return FiniteRootSystem(_simple_roots(letter, rank))
+
+
+@functools.lru_cache(maxsize=None)
+def embedded_root_system(simple):
+    """The root system spanned by the given simple roots (a tuple), which
+    may lie in a larger ambient space, e.g. a parabolic subsystem."""
+    return FiniteRootSystem(simple)
 
 
 POSITIVE_ROOT_COUNT = {

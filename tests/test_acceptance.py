@@ -101,7 +101,7 @@ def test_criterion_03_e7_suite():
     ok = ok and I_eta == frozenset({1, 2, 3, 4, 5, 7})
     gens = affine.xi_eta(e7, I_eta)
     tsys = affine.transversal_system(e7, I_eta)
-    group = affine.generate_group(gens, tsys.n_local)
+    group = affine.generate_group(gens, range(tsys.n_local))
     ok = ok and len(group) == 4  # <sigma_{s2} sigma_{s7}>, cyclic of order 4
     res1 = affine.structural_graph_affine(generator(e7, 4) * x)
     ok = ok and res1.graph.n_vertices() == 1
@@ -110,7 +110,7 @@ def test_criterion_03_e7_suite():
     res4 = affine.structural_graph_affine(reduce(e7, (1, 4, 5, 7)) * x * x)
     ok = ok and res4.graph.n_vertices() == 4
     closed = graph.quotient(
-        graph.tight_closure(res4.kgraph, None, res4.tsys.abstract),
+        graph.tight_closure(res4.kgraph, res4.tsys.abstract),
         res4.xi_w)
     ok = ok and closed.is_complete()
     elapsed = time.time() - t0
@@ -132,7 +132,7 @@ def test_criterion_04_a_family():
         res = affine.structural_graph_affine(u * t)
         q = res.graph
         closed = graph.quotient(
-            graph.tight_closure(res.kgraph, None, res.tsys.abstract),
+            graph.tight_closure(res.kgraph, res.tsys.abstract),
             res.xi_w)
         is_cycle = (q.n_vertices() == 2 * n + 1
                     and q.n_edges() == 2 * n + 1
@@ -211,7 +211,7 @@ def test_criterion_06_xi_eta_sweep():
                 I = frozenset(asys.kac_to_gen[k] for k in I_bar)
                 tsys = affine.transversal_system(sysA, I)
                 group = affine.generate_group(
-                    affine.xi_eta(sysA, I), tsys.n_local)
+                    affine.xi_eta(sysA, I), range(tsys.n_local))
                 got = {oracle.xi_encoding(tsys, g) for g in group}
                 expect = oracle.xi_eta_oracle(rs, I_bar)
                 assert got == expect, (family, l, sorted(I_bar))

@@ -18,7 +18,7 @@ from coxconj.affine import (
 )
 from coxconj.element import generator, longest_element, reduce
 from coxconj.errors import FiniteOrder
-from coxconj.linalg import vscale
+from coxconj.linalg import affine_fixed_space, vadd, vscale
 from coxconj.rootdata import finite_root_system
 
 from tests_util import (
@@ -44,6 +44,19 @@ def test_affine_action_basics():
     w = reduce(a2t, (0, 1, 2))
     assert not is_translation(w)
     assert is_translation(w * w)  # glide reflection squared
+    # a nonzero translation fixes no point
+    assert affine_fixed_space([asys.element_map(w * w)], asys.dim) is None
+    # the fixed planes of s0 and s1 meet in a line, found by stacking their
+    # equations
+    for s in (0, 1):
+        _, dirs = affine_fixed_space([asys.generator_map(s)], asys.dim)
+        assert len(dirs) == 2
+    point, dirs = affine_fixed_space(
+        [asys.generator_map(0), asys.generator_map(1)], asys.dim)
+    assert len(dirs) == 1
+    for x in (point, vadd(point, dirs[0])):
+        for s in (0, 1):
+            assert affine_action(a2t, (s,), x) == x
 
 
 def test_d7_translation():
@@ -169,7 +182,7 @@ def test_xi_eta_d7():
     gens = xi_eta(d7, I)
     assert len(gens) == 2  # sigma_1^2 (trivial) and sigma_1 sigma_2
     tsys = transversal_system(d7, I)
-    group = affine.generate_group(gens, tsys.n_local)
+    group = affine.generate_group(gens, range(tsys.n_local))
     assert len(group) == 2
     nontrivial = [g for g in group if not g.is_identity()][0]
     names = tsys.local_names
@@ -230,7 +243,7 @@ def test_e7_xi_eta():
     tsys = transversal_system(e7, I)
     assert sorted(t.symbol for t in tsys.component_tags) == ["A1(1)", "D5(1)"]
     gens = xi_eta(e7, I)
-    group = affine.generate_group(gens, tsys.n_local)
+    group = affine.generate_group(gens, range(tsys.n_local))
     assert len(group) == 4  # <sigma_{s2} sigma_{s7}> is cyclic of order 4
     rs = finite_root_system("E", 7)
     got = {oracle.xi_encoding(tsys, g) for g in group}
@@ -263,7 +276,7 @@ def test_e7_cases():
     assert res4.kgraph.n_vertices() == 8 and res4.graph.n_vertices() == 4
     for res in (res1, res3, res4):
         assert_affine_cross_checks(res)
-    closed = graph.tight_closure(res4.kgraph, None, res4.tsys.abstract)
+    closed = graph.tight_closure(res4.kgraph, res4.tsys.abstract)
     quot = graph.quotient(closed, res4.xi_w)
     assert quot.is_complete() and quot.n_vertices() == 4
 
@@ -311,7 +324,7 @@ def test_a9_cross_component_conjugation_certificate():
     # the two supports are in different Xi_eta classes (distance two along
     # the cycle), certifying the chord edge
     gens = xi_eta(sysA, I_eta)
-    group = affine.generate_group(gens, tsys.n_local)
+    group = affine.generate_group(gens, range(tsys.n_local))
     assert all(g.apply_set(supp1) != supp2 for g in group)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -114,3 +117,15 @@ def test_determinism(capsys):
     code1, out1, _ = run(capsys, "--example", "d7-1", "graph")
     code2, out2, _ = run(capsys, "--example", "d7-1", "graph")
     assert out1 == out2
+
+
+def test_module_run_has_no_import_warning():
+    # the package must not import cli itself, or runpy warns that
+    # coxconj.cli was already in sys.modules before it ran as __main__
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxconj.cli", "--example", "ind-337",
+         "classify"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr

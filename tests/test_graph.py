@@ -23,6 +23,12 @@ def test_basic_shape():
     g = square_graph()
     assert g.n_vertices() == 4 and g.n_edges() == 4
     assert g.is_connected()
+    assert g.bfs_tree() == [(0, 1, frozenset({0, 1})),
+                            (0, 3, frozenset({0, 3})),
+                            (1, 2, frozenset({1, 2}))]
+    apart = ConjGraph(("a", "b"), [frozenset({0}), frozenset({1})], [],
+                      frozenset({0}))
+    assert apart.bfs_tree() == [] and not apart.is_connected()
     assert g.diameter() == 2
     assert not g.is_complete()
 
@@ -44,14 +50,14 @@ def test_tight_closure():
     # labels on the square are small enough that unions stay spherical in A4
     sys = path_system([3, 3, 3])
     g = square_graph()
-    closed = tight_closure(g, None, sys)
+    closed = tight_closure(g, sys)
     # the union of any two adjacent labels is spherical in A4, so the
     # diagonals appear and the graph becomes complete
     assert closed.is_complete()
     assert closed.n_vertices() == g.n_vertices()
     # with a sphericity test that rejects everything beyond single edges,
     # nothing is added
-    closed2 = tight_closure(g, None, sys,
+    closed2 = tight_closure(g, sys,
                             is_spherical=lambda K: len(K) <= 2)
     assert closed2.edge_labels.keys() == g.edge_labels.keys()
 

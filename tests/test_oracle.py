@@ -109,7 +109,7 @@ def test_xi_eta_oracle_matches_table_samples():
         I = frozenset(asys.kac_to_gen[k] for k in I_bar)
         tsys = affine.transversal_system(sysA, I)
         gens = affine.xi_eta(sysA, I)
-        group = affine.generate_group(gens, tsys.n_local)
+        group = affine.generate_group(gens, range(tsys.n_local))
         got = {oracle.xi_encoding(tsys, g) for g in group}
         rs = finite_root_system(family, l)
         expect = oracle.xi_eta_oracle(rs, I_bar)
@@ -125,7 +125,8 @@ def test_xi_eta_exceptional_gap_subsets():
         asys = affine.affine_system(sysA)
         I = frozenset(asys.kac_to_gen[k] for k in I_bar)
         tsys = affine.transversal_system(sysA, I)
-        group = affine.generate_group(affine.xi_eta(sysA, I), tsys.n_local)
+        group = affine.generate_group(affine.xi_eta(sysA, I),
+                                      range(tsys.n_local))
         assert len(group) == order
         got = {oracle.xi_encoding(tsys, g) for g in group}
         rs = finite_root_system(family, l)

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
-from coxconj.linalg import dot, vadd, vscale
+import pytest
+
+from coxconj.errors import VerificationFailed
+from coxconj.linalg import dot, solve, vadd, vscale
 from coxconj.rootdata import coroot, finite_root_system, positive_root_count
 
 
@@ -67,6 +70,16 @@ def test_translation_perm_matches_extended_group():
     rs = finite_root_system("C", 3)
     perm = rs.translation_perm(coroot(rs.simple[0]))
     assert perm == {i: i for i in range(4)}
+
+
+def test_root_coords_elimination():
+    rs = finite_root_system("A", 2)
+    a1, a2 = rs.simple
+    assert rs.root_coords(vadd(a1, a2)) == (1, 1)
+    # (1, 1, 1) is orthogonal to the plane spanned by the A2 roots
+    assert rs.root_coords((1, 1, 1)) is None
+    with pytest.raises(VerificationFailed):
+        solve((a1, a2, vadd(a1, a2)), a1)
 
 
 def test_coweight_class_vertex():
