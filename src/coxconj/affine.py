@@ -187,9 +187,7 @@ def mat_vec_frac(A, v):
 
 
 def affine_system(sys):
-    if "affine-system" not in sys._cache:
-        sys._cache["affine-system"] = AffineSystem(sys)
-    return sys._cache["affine-system"]
+    return sys.cached("affine-system", lambda: AffineSystem(sys))
 
 
 def affine_action(sys, word_or_element, x):
@@ -296,9 +294,11 @@ class TransversalSystem:
         self.locals_I = sorted(I_eta)
         r = len(comps)
         self.n_local = len(self.locals_I) + r
-        self.local_names = tuple(
-            [sys.generator_names[g] for g in self.locals_I]
-            + ["tau%d" % (i + 1) for i in range(r)])
+        names = [sys.generator_names[g] for g in self.locals_I]
+        taus = ["tau%d" % (i + 1) for i in range(r)]
+        while set(taus) & set(names):  # local names must stay distinct
+            taus = [t + "'" for t in taus]
+        self.local_names = tuple(names + taus)
         self.local_of_gen = {g: i for i, g in enumerate(self.locals_I)}
         self.tau_local = tuple(len(self.locals_I) + i for i in range(r))
         # highest roots and tau words
@@ -386,13 +386,9 @@ def _product_order(fmap, dim, cap=200):
     return 0  # infinity
 
 
-def transversal_system(sys_or_asys, I_eta):
-    asys = (sys_or_asys if isinstance(sys_or_asys, AffineSystem)
-            else affine_system(sys_or_asys))
-    key = ("transversal", frozenset(I_eta))
-    if key not in asys.sys._cache:
-        asys.sys._cache[key] = TransversalSystem(asys, I_eta)
-    return asys.sys._cache[key]
+@coxmat.per_subset
+def transversal_system(sys, I_eta):
+    return TransversalSystem(affine_system(sys), I_eta)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +655,7 @@ def delta_and_Iw_affine(v, I_eta=None):
         _, I_eta, v2 = p_w_infty_standardize(v, assume_cyclically_reduced=True)
         if v2 != v:
             raise NotStandard("element is not standard")
-    tsys = transversal_system(asys, I_eta)
+    tsys = transversal_system(asys.sys, I_eta)
     w0, winf = standard_splitting(v)
     # delta_w: conjugation by winf permutes the transversal reflections
     targets = {tsys.embedding[j]: j for j in range(tsys.n_local)}
@@ -686,16 +682,15 @@ def delta_and_Iw_affine(v, I_eta=None):
 # Xi_eta
 
 
-def xi_eta(sys_or_asys, I_eta):
+def xi_eta(sys, I_eta):
     """Generators of Xi_eta as automorphisms of the transversal indices.
 
     Table-driven over the classified ambient type, all classical and
     exceptional cases including the D and E_7 subcases; components are
     ordered by their smallest Kac index.
     """
-    asys = (sys_or_asys if isinstance(sys_or_asys, AffineSystem)
-            else affine_system(sys_or_asys))
-    tsys = transversal_system(asys, I_eta)
+    tsys = transversal_system(sys, I_eta)
+    asys = tsys.asys
     fam, l = asys.tag.family, asys.rank
     comps = tsys.components_ambient
     r = len(comps)
@@ -879,7 +874,7 @@ def structural_graph_affine(w):
             g, g, None, n0, frozenset(), [n0], [n0], v,
             conjugator * element.reduce(w.sys, extra), g.representatives,
             {frozenset(): red}, I_eta, ())
-    tsys = transversal_system(asys, I_eta)
+    tsys = transversal_system(asys.sys, I_eta)
     # make v_eta cyclically reduced by transversal shifts
     for _ in range(2):
         y_word, delta = transversal_action(asys, tsys, v)
@@ -901,7 +896,7 @@ def structural_graph_affine(w):
     kgraph = finord.kdelta_component(tsys.abstract,
                                      _extend_identity(delta_w, tsys.n_local),
                                      I_w)
-    xi_eta_elements = generate_group(xi_eta(asys, I_eta),
+    xi_eta_elements = generate_group(xi_eta(asys.sys, I_eta),
                                      range(tsys.n_local))
     vertex_set = set(kgraph.vertices)
     xi_w = [s for s in xi_eta_elements if s.apply_set(I_w) in vertex_set]

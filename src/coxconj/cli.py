@@ -28,7 +28,7 @@ def _affine_matrix(family, l):
 
 
 def _example_d7(case):
-    sysm = CoxeterSystem(_affine_matrix("D", 7))
+    sysm = CoxeterSystem.interned(_affine_matrix("D", 7))
     x = element.reduce(sysm, (2, 1, 3, 2, 4, 3, 5, 4, 6, 5))
     t = element.generator(sysm, 0) * (x * element.generator(sysm, 7)
                                       * x.inverse())
@@ -37,7 +37,7 @@ def _example_d7(case):
 
 
 def _example_e7(case):
-    sysm = CoxeterSystem(_affine_matrix("E", 7))
+    sysm = CoxeterSystem.interned(_affine_matrix("E", 7))
     x = (element.generator(sysm, 0)
          * element.longest_element(sysm, {1, 2, 3, 4, 5})
          * element.longest_element(sysm, {2, 3, 4, 5, 6, 7})
@@ -50,7 +50,7 @@ def _example_e7(case):
 def _example_a_family(n):
     from fractions import Fraction
     from .linalg import vscale
-    sysm = CoxeterSystem(_affine_matrix("A", 4 * n + 1))
+    sysm = CoxeterSystem.interned(_affine_matrix("A", 4 * n + 1))
     asys = affine.affine_system(sysm)
     lam = vscale(2, asys.rs.fundamental_coweights()[2 * n])
     ident = tuple(tuple(Fraction(int(i == j)) for j in range(asys.dim))
@@ -68,7 +68,7 @@ def _example_fan():
     for j in (2, 3, 4):
         m[0][j] = m[j][0] = 3
         m[1][j] = m[j][1] = 3
-    sysm = CoxeterSystem(m)
+    sysm = CoxeterSystem.interned(m)
     x = element.reduce(sysm, (2, 0, 1, 2, 3, 0, 1, 3, 4, 0, 1, 4))
     w = element.generator(sysm, 0) * x * x
     return sysm, w.word
@@ -80,7 +80,7 @@ def _example_chain7():
         m[i][i] = 1
     for a, b in [(0, 1), (1, 2), (2, 3), (3, 4), (5, 3), (6, 2)]:
         m[a][b] = m[b][a] = 3
-    sysm = CoxeterSystem(m)
+    sysm = CoxeterSystem.interned(m)
     x = (element.longest_element(sysm, frozenset({0, 1, 2, 3, 4, 6}))
          * element.longest_element(sysm, frozenset({0, 1, 2, 3, 4, 5})))
     w = (element.generator(sysm, 0) * element.generator(sysm, 2)) * x * x
@@ -88,7 +88,7 @@ def _example_chain7():
 
 
 def _example_tri337():
-    sysm = CoxeterSystem([[1, 3, 3], [3, 1, 7], [3, 7, 1]])
+    sysm = CoxeterSystem.interned([[1, 3, 3], [3, 1, 7], [3, 7, 1]])
     return sysm, (0, 1, 2, 1, 0, 2)
 
 

@@ -12,6 +12,7 @@ Conventions
   exist the lexicographically smallest is chosen.
 """
 
+import functools
 import json
 
 from .errors import NonSpherical, NotAffine, UnsupportedShape
@@ -20,26 +21,70 @@ from .rootdata import finite_root_system, positive_root_count
 INF = 0  # matrix entry encoding the label infinity
 
 
+INTERN_CAP = 32  # systems kept by CoxeterSystem.interned, least recent out
+_INTERNED = {}  # (matrix, generator names) -> CoxeterSystem, oldest first
+
+
+def per_subset(fn):
+    """Keep fn(sys, K, ...) on sys per subset K (default: all of S); the
+    other arguments must follow from K."""
+    @functools.wraps(fn)
+    def cached_fn(sys, K=None, *rest):
+        K = sys.full if K is None else frozenset(K)
+        return sys.cached((fn.__name__, K), lambda: fn(sys, K, *rest))
+    return cached_fn
+
+
 class CoxeterSystem:
-    """A Coxeter system given by its matrix; immutable by convention."""
+    """A Coxeter system given by its matrix.  It must not be mutated: one
+    interned instance and its cached data serve every request of a process."""
 
     def __init__(self, matrix, names=None):
-        matrix = tuple(tuple(int(x) for x in row) for row in matrix)
-        n = len(matrix)
+        n = len(matrix) if isinstance(matrix, (list, tuple)) else -1
+        if n < 0 or not all(
+                isinstance(row, (list, tuple)) and len(row) == n
+                and all(type(x) is int for x in row) for row in matrix):
+            raise UnsupportedShape("the Coxeter matrix must be a square "
+                                   "matrix of integers")
+        matrix = tuple(tuple(row) for row in matrix)
         for i in range(n):
-            if len(matrix[i]) != n or matrix[i][i] != 1:
-                raise UnsupportedShape("bad Coxeter matrix diagonal/shape")
+            if matrix[i][i] != 1:
+                raise UnsupportedShape("diagonal entries must be 1")
             for j in range(n):
                 if matrix[i][j] != matrix[j][i]:
                     raise UnsupportedShape("Coxeter matrix must be symmetric")
-                if i != j and matrix[i][j] == 1:
-                    raise UnsupportedShape("off-diagonal entries must be >= 2")
+                if i != j and matrix[i][j] != INF and matrix[i][j] < 2:
+                    raise UnsupportedShape(
+                        "off-diagonal entries must be 0 (infinity) or >= 2")
+        if names is None:
+            names = ["s%d" % i for i in range(n)]
+        if not (isinstance(names, (list, tuple)) and len(names) == n
+                and all(isinstance(x, str) for x in names)
+                and len(set(names)) == n):
+            raise UnsupportedShape("names must be %d distinct strings" % n)
         self.rank = n
         self.matrix = matrix
-        self.generator_names = tuple(names) if names else tuple(
-            "s%d" % i for i in range(n))
+        self.generator_names = tuple(names)
         self.full = frozenset(range(n))
         self._cache = {}
+
+    @classmethod
+    def interned(cls, matrix, names=None):
+        """The process-wide system for (matrix, names), checked before the
+        lookup, so that a malformed system is refused and never kept."""
+        fresh = cls(matrix, names)
+        key = (fresh.matrix, fresh.generator_names)
+        sys = _INTERNED.pop(key, fresh)
+        _INTERNED[key] = sys
+        if len(_INTERNED) > INTERN_CAP:
+            del _INTERNED[next(iter(_INTERNED))]
+        return sys
+
+    def cached(self, key, build):
+        """build(), computed once per system and kept under key."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def m(self, i, j):
         return self.matrix[i][j]
@@ -48,11 +93,8 @@ class CoxeterSystem:
         return i != j and self.matrix[i][j] != 2
 
     def neighbours(self, i):
-        key = ("nb", i)
-        if key not in self._cache:
-            self._cache[key] = tuple(
-                j for j in range(self.rank) if self.adjacent(i, j))
-        return self._cache[key]
+        return self.cached(("nb", i), lambda: tuple(
+            j for j in range(self.rank) if self.adjacent(i, j)))
 
     def name_of(self, i):
         return self.generator_names[i]
@@ -62,12 +104,17 @@ class CoxeterSystem:
 
     @classmethod
     def from_json(cls, text):
-        """Parse {"rank": n, "matrix": [[..]], "names": [..]}, 0 = infinity."""
+        """Parse {"rank": n, "matrix": [[..]], "names": [..]}, 0 = infinity,
+        into the interned system."""
         data = json.loads(text)
+        if not isinstance(data, dict) or "matrix" not in data:
+            raise UnsupportedShape('a system must be a JSON object with a '
+                                   '"matrix"')
         matrix = data["matrix"]
-        if "rank" in data and data["rank"] != len(matrix):
+        if (isinstance(matrix, list) and "rank" in data
+                and data["rank"] != len(matrix)):
             raise UnsupportedShape("rank disagrees with matrix size")
-        return cls(matrix, data.get("names"))
+        return cls.interned(matrix, data.get("names"))
 
 
 class TypeTag:
@@ -410,14 +457,11 @@ def classify_component(sys, comp):
     return TypeTag("indefinite", correspondence=tuple(sorted(comp)))
 
 
+@per_subset
 def classify(sys, I=None):
     """Classify each component of I; returns [(component, TypeTag)]."""
-    I = sys.full if I is None else frozenset(I)
-    key = ("classify", I)
-    if key not in sys._cache:
-        sys._cache[key] = tuple(
-            (comp, classify_component(sys, comp)) for comp in components(sys, I))
-    return sys._cache[key]
+    return tuple(
+        (comp, classify_component(sys, comp)) for comp in components(sys, I))
 
 
 def is_spherical(sys, I):
@@ -434,12 +478,9 @@ def spherical_root_count(sys, I):
     return total
 
 
+@per_subset
 def opposition(sys, K):
     """The diagram automorphism op_K of a spherical subset K."""
-    K = frozenset(K)
-    key = ("op", K)
-    if key in sys._cache:
-        return sys._cache[key]
     mapping = {}
     for comp, tag in classify(sys, K):
         if tag.kind != "finite":
@@ -448,9 +489,7 @@ def opposition(sys, K):
         corr = tag.correspondence
         for k, v in ref_op.items():
             mapping[corr[k]] = corr[v]
-    out = check_diagram_automorphism(sys, DiagramAutomorphism(mapping))
-    sys._cache[key] = out
-    return out
+    return check_diagram_automorphism(sys, DiagramAutomorphism(mapping))
 
 
 def generate_group(gens, domain):
@@ -474,6 +513,7 @@ def generate_group(gens, domain):
 # extended affine diagram automorphisms
 
 
+@per_subset
 def omega_group(sys, comp, tag):
     """All elements of the extended-diagram group W~/W of one affine component.
 
@@ -483,9 +523,6 @@ def omega_group(sys, comp, tag):
     """
     if tag.kind != "affine":
         raise NotAffine("component is not of affine type")
-    key = ("omega", frozenset(comp))
-    if key in sys._cache:
-        return sys._cache[key]
     corr = tag.correspondence
     if tag.family == "A" and tag.rank == 1:
         a, b = corr[0], corr[1]
@@ -502,7 +539,6 @@ def omega_group(sys, comp, tag):
     group = generate_group(gens, comp)
     for g in group:
         check_diagram_automorphism(sys, g)
-    sys._cache[key] = group
     return group
 
 

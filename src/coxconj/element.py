@@ -193,9 +193,7 @@ class Realization:
 
 
 def realization(sys):
-    if "realization" not in sys._cache:
-        sys._cache["realization"] = Realization(sys)
-    return sys._cache["realization"]
+    return sys.cached("realization", lambda: Realization(sys))
 
 
 class Element:
@@ -479,13 +477,10 @@ def generator(sys, s):
     return realization(sys).generator(s)
 
 
+@coxmat.per_subset
 def longest_element(sys, K):
     """w_0(K) for a spherical subset K."""
-    K = frozenset(K)
     R = realization(sys)
-    key = ("w0", K)
-    if key in sys._cache:
-        return sys._cache[key]
     if not coxmat.is_spherical(sys, K):
         raise NonSpherical("longest element of a non-spherical subset")
     expected = coxmat.spherical_root_count(sys, K)
@@ -507,7 +502,6 @@ def longest_element(sys, K):
         img = w.apply(R.basis_vector(s))
         if img != tuple(R.field.neg(x) for x in R.basis_vector(op(s))):
             raise VerificationFailed("w_0(K) does not realise op_K")
-    sys._cache[key] = w
     return w
 
 
@@ -611,12 +605,9 @@ def twist_of_normalizer(n, I):
     return DiagramAutomorphism(mapping)
 
 
+@coxmat.per_subset
 def root_closure(sys, K):
     """All positive roots of Phi_K as coordinate vectors (K spherical)."""
-    K = frozenset(K)
-    key = ("phi+", K)
-    if key in sys._cache:
-        return sys._cache[key]
     R = realization(sys)
     expected = coxmat.spherical_root_count(sys, K)
     roots = {R.basis_vector(s) for s in K}
@@ -633,9 +624,7 @@ def root_closure(sys, K):
     if len(roots) != expected:
         raise VerificationFailed("root closure found %d of %d roots"
                                  % (len(roots), expected))
-    out = frozenset(roots)
-    sys._cache[key] = out
-    return out
+    return frozenset(roots)
 
 
 def reflect_vec(R, s, v):

@@ -35,11 +35,8 @@ def _delta_orbits(delta, pool):
 
 
 def invariant_spherical_supersets(sys, delta, I, within=None):
-    """All delta-invariant spherical K with I <= K <= within, memoised."""
+    """All delta-invariant spherical K with I <= K <= within."""
     within = sys.full if within is None else frozenset(within)
-    key = ("inv-sph-sup", delta, frozenset(I), within)
-    if key in sys._cache:
-        return sys._cache[key]
     I = frozenset(I)
     orbits = _delta_orbits(delta, within - I)
     out = []
@@ -49,8 +46,7 @@ def invariant_spherical_supersets(sys, delta, I, within=None):
             if coxmat.is_spherical(sys, K):
                 out.append(K)
     out.sort(key=subset_key)
-    sys._cache[key] = tuple(out)
-    return sys._cache[key]
+    return tuple(out)
 
 
 def kdelta_component(sys, delta, I0, within=None):
@@ -159,12 +155,9 @@ def same_cyc_class_finite(u, v):
     return element.as_twisted(u).supp() == element.as_twisted(v).supp()
 
 
+@coxmat.per_subset
 def enumerate_parabolic(sys, K):
-    """All elements of the finite standard parabolic W_K, cached."""
-    K = frozenset(K)
-    key = ("enum", K)
-    if key in sys._cache:
-        return sys._cache[key]
+    """All elements of the finite standard parabolic W_K."""
     if not coxmat.is_spherical(sys, K):
         raise NonSpherical("cannot enumerate an infinite parabolic")
     out = {element.identity(sys)}
@@ -176,9 +169,7 @@ def enumerate_parabolic(sys, K):
             if v not in out:
                 out.add(v)
                 frontier.append(v)
-    out = frozenset(out)
-    sys._cache[key] = out
-    return out
+    return frozenset(out)
 
 
 def twisted_conjugate_bruteforce(u, v, delta, K):

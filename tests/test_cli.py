@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from coxconj import cli
+from coxconj import cli, coxmat
 
 
 def run(capsys, *argv):
@@ -113,10 +113,49 @@ def test_memory_error_is_a_pipeline_error(capsys, monkeypatch):
     assert err == "error: out of memory\n"
 
 
-def test_determinism(capsys):
+@pytest.mark.parametrize("doc", [
+    {"matrix": [[1, 3, 2], [3, 1, 4], [2, 4, 1]], "names": ["a", "b"]},
+    {"rank": 2},
+    [[1, 3], [3, 1]],
+    {"matrix": [[1, -3], [-3, 1]]},
+    {"matrix": [[1, 3], [3, 1]], "names": ["a", "a"]},
+], ids=["short-names", "no-matrix", "not-an-object", "negative-label",
+        "duplicate-names"])
+def test_malformed_system_refused(tmp_path, capsys, doc):
+    p = tmp_path / "sys.json"
+    p.write_text(json.dumps(doc))
+    for command in ("classify", "graph"):
+        code, out, err = run(capsys, "--system", str(p), "--word", "0 1",
+                             command)
+        assert code == cli.EXIT_SHAPE, err
+        assert out == "" and err.startswith("error: ")
+
+
+def test_generator_named_like_a_transversal_reflection(tmp_path, capsys):
+    # names must be distinct, so the transversal names avoid "tau1" here
+    path = write_system(tmp_path, [[1, 3, 3], [3, 1, 3], [3, 3, 1]],
+                        ["a", "tau1", "c"])
+    code, out, err = run(capsys, "--system", path, "--word", "0 1 2 0 1 2 1",
+                         "graph")
+    assert code == 0, err
+    assert json.loads(out)["transversal"] == ["tau1", "tau1'"]
+
+
+def test_determinism(tmp_path, capsys, monkeypatch):
     code1, out1, _ = run(capsys, "--example", "d7-1", "graph")
     code2, out2, _ = run(capsys, "--example", "d7-1", "graph")
     assert out1 == out2
+    # cold, then warm: the second request reuses the interned system
+    monkeypatch.setattr(coxmat, "_INTERNED", {})
+    for matrix, word in [
+            ([[1, 3, 2], [3, 1, 3], [2, 3, 1]], "0 1 2"),
+            ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], "0 1 2 0 1 2 1"),
+            ([[1, 3, 3], [3, 1, 7], [3, 7, 1]], "0 1 2 1 0 2")]:
+        path = write_system(tmp_path, matrix)
+        cold = run(capsys, "--system", path, "--word", word, "graph")
+        warm = run(capsys, "--system", path, "--word", word, "graph")
+        assert cold[0] == 0 and cold == warm
+    assert len(coxmat._INTERNED) == 3
 
 
 def test_module_run_has_no_import_warning():

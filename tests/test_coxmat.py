@@ -15,7 +15,7 @@ from coxconj.coxmat import (
     sigma_s,
     spherical_root_count,
 )
-from coxconj.errors import NonSpherical
+from coxconj.errors import NonSpherical, UnsupportedShape
 
 
 def path_system(labels):
@@ -201,3 +201,40 @@ def test_sigma_s():
     assert sig(c[0]) == c[1] and sig(c[1]) == c[0]
     assert sig(c[4]) == c[5] and sig(c[5]) == c[4]
     assert sig(c[2]) == c[2] and sig(c[3]) == c[3]
+
+
+def test_intern_shares_one_system_per_matrix_and_names(monkeypatch):
+    monkeypatch.setattr(coxmat, "_INTERNED", {})
+    doc = '{"rank": 3, "matrix": [[1, 3, 2], [3, 1, 4], [2, 4, 1]]}'
+    first = CoxeterSystem.from_json(doc)
+    assert CoxeterSystem.from_json(doc) is first
+    assert CoxeterSystem.interned(first.matrix) is first
+    named = CoxeterSystem.from_json(
+        '{"matrix": [[1, 3, 2], [3, 1, 4], [2, 4, 1]],'
+        ' "names": ["a", "b", "c"]}')
+    assert named is not first and named.generator_names == ("a", "b", "c")
+    # derived data persists on the shared system
+    assert classify(first) is classify(CoxeterSystem.from_json(doc))
+
+
+def test_intern_evicts_least_recently_used_at_cap(monkeypatch):
+    monkeypatch.setattr(coxmat, "_INTERNED", {})
+    cap = coxmat.INTERN_CAP
+    dihedral = [CoxeterSystem.interned([[1, m], [m, 1]])
+                for m in range(3, cap + 3)]
+    assert len(coxmat._INTERNED) == cap
+    # using the oldest makes the second oldest the next to go
+    assert CoxeterSystem.interned([[1, 3], [3, 1]]) is dihedral[0]
+    CoxeterSystem.interned([[1, cap + 3], [cap + 3, 1]])
+    assert len(coxmat._INTERNED) == cap
+    assert CoxeterSystem.interned([[1, 3], [3, 1]]) is dihedral[0]
+    assert CoxeterSystem.interned([[1, 4], [4, 1]]) is not dihedral[1]
+
+
+def test_intern_refuses_malformed_documents_every_time(monkeypatch):
+    monkeypatch.setattr(coxmat, "_INTERNED", {})
+    doc = '{"matrix": [[1, -3], [-3, 1]]}'
+    for _ in range(2):
+        with pytest.raises(UnsupportedShape):
+            CoxeterSystem.from_json(doc)
+    assert coxmat._INTERNED == {}
