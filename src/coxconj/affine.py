@@ -89,34 +89,36 @@ class AffineSystem:
         self.rank = tag.rank          # l, so the system has l+1 generators
         self.dim = self.rs.dim
         self.theta = self.rs.highest_root()
-        self._gen_maps = None
+        # generator -> (alpha, alpha^vee, c) of its reflection
+        # x -> x - (<alpha, x> - c) alpha^vee, the roots as sparse (index,
+        # coordinate) pairs; s_0 has alpha = theta and c = 1
+        self._reflections = {}
+        for k in range(self.rank + 1):
+            alpha = self.theta if k == 0 else self.rs.simple[k - 1]
+            self._reflections[self.kac_to_gen[k]] = (
+                _sparse(alpha), _sparse(coroot(alpha)), F1 if k == 0 else F0)
 
     # -- affine maps --------------------------------------------------------
 
-    def generator_map(self, g):
-        """(A, b) of the generator g acting on V, x -> A x + b."""
-        if self._gen_maps is None:
-            maps = {}
-            n = self.dim
-            for k in range(self.rank + 1):
-                alpha = self.theta if k == 0 else self.rs.simple[k - 1]
-                av = coroot(alpha)
-                A = tuple(
-                    tuple((F1 if i == j else F0) - av[i] * alpha[j]
-                          for j in range(n)) for i in range(n))
-                b = av if k == 0 else tuple(F0 for _ in range(n))
-                maps[self.kac_to_gen[k]] = (A, b)
-            self._gen_maps = maps
-        return self._gen_maps[g]
-
     def word_map(self, word):
-        """Affine map of the element with the given generator word."""
-        A = tuple(tuple(F1 if i == j else F0 for j in range(self.dim))
-                  for i in range(self.dim))
-        b = tuple(F0 for _ in range(self.dim))
+        """Affine map (A, b), x -> A x + b, of the element with the given
+        generator word.
+
+        Composing with a reflection on the right is the rank-one update
+        A -= (A alpha^vee) alpha^T, b += c A alpha^vee.
+        """
+        n = self.dim
+        A = [list(row) for row in _identity(n)]
+        b = [F0] * n
         for g in word:
-            A, b = compose_affine((A, b), self.generator_map(g))
-        return A, b
+            alpha, alpha_v, c = self._reflections[g]
+            for i, row in enumerate(A):
+                u = sum(row[j] * x for j, x in alpha_v)
+                if u:
+                    for j, x in alpha:
+                        row[j] -= u * x
+                    b[i] += c * u
+        return tuple(map(tuple, A)), tuple(b)
 
     def element_map(self, w):
         return self.word_map(w.word)
@@ -125,8 +127,7 @@ class AffineSystem:
         """Order of the linear part (an element of the finite Weyl group)."""
         cur = A
         k = 1
-        ident = tuple(tuple(F1 if i == j else F0 for j in range(self.dim))
-                      for i in range(self.dim))
+        ident = _identity(self.dim)
         while cur != ident:
             cur = mat_mul_frac(cur, A)
             k += 1
@@ -147,8 +148,7 @@ class AffineSystem:
 
     def is_translation(self, w):
         A, _ = self.element_map(w)
-        return all(A[i][j] == (F1 if i == j else F0)
-                   for i in range(self.dim) for j in range(self.dim))
+        return A == _identity(self.dim)
 
     def affine_action(self, w, x):
         A, b = self.element_map(w)
@@ -173,6 +173,15 @@ def compose_affine(f, g):
     A, b = f
     C, d = g
     return mat_mul_frac(A, C), vadd(mat_vec_frac(A, d), b)
+
+
+def _identity(n):
+    return tuple(tuple(F1 if i == j else F0 for j in range(n))
+                 for i in range(n))
+
+
+def _sparse(v):
+    return tuple((j, x) for j, x in enumerate(v) if x)
 
 
 def mat_mul_frac(A, B):
@@ -299,11 +308,10 @@ class TransversalSystem:
         while set(taus) & set(names):  # local names must stay distinct
             taus = [t + "'" for t in taus]
         self.local_names = tuple(names + taus)
-        self.local_of_gen = {g: i for i, g in enumerate(self.locals_I)}
+        local_of_gen = {g: i for i, g in enumerate(self.locals_I)}
         self.tau_local = tuple(len(self.locals_I) + i for i in range(r))
-        # highest roots and tau words
+        # highest roots and tau elements
         self.theta_I = []
-        self.tau_words = []
         self.tau_elements = []
         embeds = []
         for comp in comps:
@@ -313,7 +321,6 @@ class TransversalSystem:
             theta_c = sub.highest_root()
             self.theta_I.append(theta_c)
             word = affine_reflection_word(asys, vscale(-1, theta_c), 1)
-            self.tau_words.append(word)
             self.tau_elements.append(element.reduce(sys, word))
             embeds.append(sub)
         self.embedded = tuple(embeds)
@@ -335,12 +342,10 @@ class TransversalSystem:
                     compose_affine(maps[i], maps[j]), asys.dim)
         self.abstract = CoxeterSystem(m, self.local_names)
         # classification of the extended components, with consistency checks
-        self.local_components = []
         self.component_tags = []
         for ci, comp in enumerate(comps):
-            local = frozenset([self.local_of_gen[g] for g in sorted(comp)]
+            local = frozenset([local_of_gen[g] for g in sorted(comp)]
                               + [self.tau_local[ci]])
-            self.local_components.append(local)
             [(c2, tag)] = coxmat.classify(self.abstract, local)
             if tag.kind != "affine":
                 raise InternalMismatch("extended component is not affine")
@@ -360,9 +365,6 @@ class TransversalSystem:
                     raise InternalMismatch("highest-root height mismatch")
             self.component_tags.append(tag)
 
-    def local_index(self, g):
-        return self.local_of_gen[g]
-
     def embed(self, local_word):
         """Element of W for a word in local transversal indices."""
         out = element.identity(self.asys.sys)
@@ -374,13 +376,13 @@ class TransversalSystem:
         return element.reduce(self.abstract, local_word)
 
 
-def _product_order(fmap, dim, cap=200):
-    ident_A = tuple(tuple(F1 if i == j else F0 for j in range(dim))
-                    for i in range(dim))
-    zero = tuple(F0 for _ in range(dim))
+def _product_order(fmap, dim):
+    # a product of two reflections of an affine Weyl group has order 1, 2,
+    # 3, 4, 6 or infinity
+    ident = (_identity(dim), tuple(F0 for _ in range(dim)))
     cur = fmap
-    for k in range(1, cap + 1):
-        if cur == (ident_A, zero):
+    for k in range(1, 7):
+        if cur == ident:
             return k
         cur = compose_affine(cur, fmap)
     return 0  # infinity
@@ -682,146 +684,27 @@ def delta_and_Iw_affine(v, I_eta=None):
 # Xi_eta
 
 
+@coxmat.per_subset
 def xi_eta(sys, I_eta):
     """Generators of Xi_eta as automorphisms of the transversal indices.
 
-    Table-driven over the classified ambient type, all classical and
-    exceptional cases including the D and E_7 subcases; components are
-    ordered by their smallest Kac index.
+    Xi_eta is the image of the direction stabiliser in the automorphism
+    group of the transversal diagram.  The stabiliser is generated by its
+    point stabiliser, which lies in W^eta and so acts trivially, and the
+    translations; hence the transversal classes of the simple-coroot
+    translations t_{alpha_k^vee} generate Xi_eta in every type.  Returns
+    the nontrivial classes as a tuple, kept on the interned system.
     """
     tsys = transversal_system(sys, I_eta)
     asys = tsys.asys
-    fam, l = asys.tag.family, asys.rank
-    comps = tsys.components_ambient
-    r = len(comps)
-    kac_sets = [sorted(asys.gen_to_kac[g] for g in comp) for comp in comps]
-    order = sorted(range(r), key=lambda ci: kac_sets[ci][0])
-    I_bar = {asys.gen_to_kac[g] for g in tsys.I_eta}
-    S_bar = set(range(l + 1))
-
-    def sigma_of_kac(k):
-        """sigma_s for the generator with ambient Kac index k (identity when
-        s is not special in its extended component)."""
-        g = asys.kac_to_gen[k]
-        ci = None
-        for j, comp in enumerate(comps):
-            if g in comp:
-                ci = j
-                break
-        if ci is None:
-            return DiagramAutomorphism.identity(frozenset(range(tsys.n_local)))
-        local = tsys.local_index(g)
-        tau = tsys.tau_local[ci]
-        comp_local = tsys.local_components[ci]
-        tag = tsys.component_tags[ci]
-        specials = {tag.correspondence[j] for j in tag.special}
-        if local not in specials:
-            part = DiagramAutomorphism.identity(comp_local)
-        else:
-            part = coxmat.sigma_s(tsys.abstract, comp_local, tag, tau, local)
-        return _extend_identity(part, tsys.n_local)
-
-    def sigma_i(pos):
-        """sigma for the component in position pos of the ordered list."""
-        ci = order[pos - 1]
-        return sigma_of_kac(kac_sets[ci][0])
-
-    def full_group_gens():
-        out = []
-        for ci in range(r):
-            gens = coxmat.extended_autgroup(
-                tsys.abstract, tsys.local_components[ci],
-                tsys.component_tags[ci])
-            out.extend(_extend_identity(g, tsys.n_local) for g in gens)
-        return out
-
-    if fam == "A":
-        gaps = S_bar - I_bar
-        a1_gaps = I_bar and all(
-            ((k + 1) % (l + 1)) not in gaps and ((k - 1) % (l + 1)) not in gaps
-            for k in gaps)
-        if a1_gaps:
-            s1 = sigma_i(1)
-            return [s1.inverse().compose(sigma_i(j)) for j in range(2, r + 1)]
-        return full_group_gens()
-    if fam == "B":
-        if (S_bar - I_bar) <= {2 * t for t in range(l + 1)} and I_bar:
-            s1 = sigma_i(1)
-            gens = [s1.compose(s1)]
-            for j in range(2, r + 1):
-                gens.append(s1.compose(sigma_i(j)))
-            return gens
-        return full_group_gens()
-    if fam == "C":
-        if l in I_bar:
-            return [sigma_i(j) for j in range(1, r)]
-        return full_group_gens()
-    if fam == "D":
-        top3 = {l - 2, l - 1, l}
-        even = (S_bar - I_bar) <= {2 * t for t in range(l + 1)}
-        if top3 <= I_bar:
-            s1 = sigma_i(1)
-            if even:
-                gens = [s1.compose(s1)]
-                for j in range(2, r + 1):
-                    gens.append(s1.compose(sigma_i(j)))
-                return gens
-            return [sigma_i(j) for j in range(1, r + 1)]
-        if {l - 1, l} <= I_bar:
-            s1 = sigma_i(1)
-            if even:
-                gens = [s1.compose(s1)]
-                for j in range(2, r - 1):
-                    gens.append(s1.compose(sigma_i(j)))
-                gens.append(s1.compose(sigma_i(r - 1)).compose(sigma_i(r)))
-                return gens
-            gens = [sigma_i(j) for j in range(1, r - 1)]
-            gens.append(sigma_i(r - 1).compose(sigma_i(r)))
-            return gens
-        if l % 2 == 0 and (S_bar - I_bar - {l - 1, l}) <= {
-                2 * t for t in range(l + 1)} and (
-                    (l - 1 in I_bar) != (l in I_bar)):
-            s1 = sigma_i(1)
-            gens = [s1.compose(s1)]
-            for j in range(2, r + 1):
-                gens.append(s1.compose(sigma_i(j)))
-            return gens
-        return full_group_gens()
-    if fam == "E":
-        # The classical case analysis for the exceptional types misses some
-        # subsets whose component through s_4 is of type A entered away
-        # from an end (e.g. E_6 with I = {1,3,4,5,6}), where the induced
-        # special-vertex rotations generate a proper subgroup.  Compute the
-        # group constructively instead: Xi_eta is generated by the
-        # transversal classes of the simple-coroot translations.
-        return xi_eta_constructive(asys, tsys)
-    return full_group_gens()
-
-
-def xi_eta_constructive(asys, tsys):
-    """Generators of Xi_eta from translation elements of W.
-
-    Builds t_{alpha_k^vee} as an element of W for every simple coroot and
-    extracts the diagram automorphism of its transversal action; these
-    classes generate Xi_eta since the direction stabiliser is generated by
-    its point stabiliser (inside W^eta) and the translations.
-    """
-    rs = asys.rs
-    ident = tuple(tuple(F1 if i == j else F0 for j in range(asys.dim))
-                  for i in range(asys.dim))
+    ident = _identity(asys.dim)
     gens = []
-    for k in range(rs.rank):
-        t = asys.element_from_affine_map((ident, coroot(rs.simple[k])))
+    for alpha in asys.rs.simple:
+        t = asys.element_from_affine_map((ident, coroot(alpha)))
         _, delta = transversal_action(asys, tsys, t)
         if not delta.is_identity():
             gens.append(delta)
-    return gens
-
-
-def _extend_identity(part, n):
-    mapping = {i: i for i in range(n)}
-    mapping.update(part.mapping)
-    return DiagramAutomorphism(mapping)
+    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -878,9 +761,7 @@ def structural_graph_affine(w):
     # make v_eta cyclically reduced by transversal shifts
     for _ in range(2):
         y_word, delta = transversal_action(asys, tsys, v)
-        t = element.TwistedElement(
-            tsys.abstract_reduce(y_word),
-            _extend_identity(delta, tsys.n_local))
+        t = element.TwistedElement(tsys.abstract_reduce(y_word), delta)
         red, conj = cycshift.cyclically_reduce(t)
         if red.length() == t.length():
             break
@@ -889,13 +770,10 @@ def structural_graph_affine(w):
         conjugator = conjugator * step
     else:
         raise VerificationFailed("transversal reduction did not stabilise")
-    weta = element.TwistedElement(
-        tsys.abstract_reduce(y_word), _extend_identity(delta, tsys.n_local))
+    weta = element.TwistedElement(tsys.abstract_reduce(y_word), delta)
     delta_w = delta
     I_w = weta.supp()
-    kgraph = finord.kdelta_component(tsys.abstract,
-                                     _extend_identity(delta_w, tsys.n_local),
-                                     I_w)
+    kgraph = finord.kdelta_component(tsys.abstract, delta_w, I_w)
     xi_eta_elements = generate_group(xi_eta(asys.sys, I_eta),
                                      range(tsys.n_local))
     vertex_set = set(kgraph.vertices)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -49,14 +50,29 @@ def test_affine_action_basics():
     # the fixed planes of s0 and s1 meet in a line, found by stacking their
     # equations
     for s in (0, 1):
-        _, dirs = affine_fixed_space([asys.generator_map(s)], asys.dim)
+        _, dirs = affine_fixed_space([asys.word_map((s,))], asys.dim)
         assert len(dirs) == 2
     point, dirs = affine_fixed_space(
-        [asys.generator_map(0), asys.generator_map(1)], asys.dim)
+        [asys.word_map((0,)), asys.word_map((1,))], asys.dim)
     assert len(dirs) == 1
     for x in (point, vadd(point, dirs[0])):
         for s in (0, 1):
             assert affine_action(a2t, (s,), x) == x
+    # the rank-one word map is the composite of the one-letter maps, and
+    # each letter is an involution
+    rng = random.Random(3)
+    for family, l in (("A", 2), ("C", 2), ("G", 2), ("B", 3)):
+        sysA = make_affine(family, l)
+        asys = affine_system(sysA)
+        ident = asys.word_map(())
+        letters = [asys.word_map((s,)) for s in range(sysA.rank)]
+        for f in letters:
+            assert affine.compose_affine(f, f) == ident
+        for length in (1, 5, 12):
+            word = random_word(rng, sysA.rank, length)
+            folded = functools.reduce(
+                affine.compose_affine, [letters[s] for s in word], ident)
+            assert asys.word_map(word) == folded
 
 
 def test_d7_translation():
@@ -180,7 +196,6 @@ def test_xi_eta_d7():
     d7, _ = d7_data()
     I = frozenset(range(1, 8)) - {2}
     gens = xi_eta(d7, I)
-    assert len(gens) == 2  # sigma_1^2 (trivial) and sigma_1 sigma_2
     tsys = transversal_system(d7, I)
     group = affine.generate_group(gens, range(tsys.n_local))
     assert len(group) == 2
@@ -243,6 +258,7 @@ def test_e7_xi_eta():
     tsys = transversal_system(e7, I)
     assert sorted(t.symbol for t in tsys.component_tags) == ["A1(1)", "D5(1)"]
     gens = xi_eta(e7, I)
+    assert isinstance(gens, tuple) and xi_eta(e7, I) is gens  # kept on e7
     group = affine.generate_group(gens, range(tsys.n_local))
     assert len(group) == 4  # <sigma_{s2} sigma_{s7}> is cyclic of order 4
     rs = finite_root_system("E", 7)
